@@ -126,7 +126,7 @@ def test_warm_vs_cold_per_request(bench_report):
         query = []
         for _ in range(20):
             start = time.perf_counter()
-            conn.request("GET", "/query?class=SeqGene")
+            conn.request("GET", "/query?body=X%20in%20SeqGene")
             response = conn.getresponse()
             response.read()
             query.append((time.perf_counter() - start) * 1000)

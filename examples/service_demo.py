@@ -103,7 +103,7 @@ def main() -> int:
           f"batch of {result['batch_size']}, "
           f"{result['violations']} violation(s)")
 
-    countries = client.extent("CountryT")
+    countries = client.query("X in CountryT")
     print(f"  target CountryT now has {countries['count']} objects")
 
     # Conjunctive queries and whole programs run against the same warm

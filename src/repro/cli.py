@@ -62,8 +62,7 @@ Subcommands::
         record was dropped, and the recovered class sizes.
 
     python -m repro program  program.qp --data target.json [--json] \\
-                             [--ast] [--explain] [--no-columnar] \\
-                             [--shards N] | --url http://host:port
+                             [--ast] [--explain] | --url http://host:port
         Parse, validate and run a query program (the composable
         query DSL of :mod:`repro.program`) — named statements mixing
         WOL conjunctive bodies with set algebra over earlier results.
@@ -81,7 +80,7 @@ Subcommands::
         and exits 1 when any finding reaches ``--fail-on`` (default
         ``error``; also ``warning`` or ``info``).  Suppress findings
         in the program text with ``-- lint: disable=WOL301`` or
-        ``-- lint: disable=WOL301,WOL303 clause=C6``.
+        ``-- lint: disable=WOL301,WOL305 clause=C6``.
 
 Schema files use the textual schema language; ``program.wol`` is WOL
 concrete syntax; instances are the JSON interchange format of
@@ -89,14 +88,10 @@ concrete syntax; instances are the JSON interchange format of
 :mod:`repro.evolution.delta`.  ``transform`` runs the planned execution
 path by default; ``--no-planner`` forces the naive per-clause path and
 ``--stats`` prints the executor/planner counters.  Planned execution is
-vectorized (columnar) by default — whole binding batches flow through
-each clause as columns; ``--no-columnar`` on ``transform``, ``check``
-and ``apply-delta`` restores row-at-a-time execution (results are
-byte-identical either way).  ``transform`` and
-``check`` accept ``--parallel N`` to shard the planned path across N
-worker processes (byte-identical targets, unioned violation sets).
-``check`` and ``apply-delta`` accept ``--json`` for machine-readable
-reports (CI and external tools consume these without scraping text).
+vectorized (columnar): whole binding batches flow through each clause
+as columns.  ``check`` and ``apply-delta`` accept ``--json`` for
+machine-readable reports (CI and external tools consume these without
+scraping text).
 """
 
 from __future__ import annotations
@@ -164,9 +159,7 @@ def _cmd_transform(args) -> int:
         result = morphase.transform(
             instances, backend=args.backend,
             check_source_constraints=args.check_source,
-            use_planner=not args.no_planner,
-            parallel=args.parallel,
-            columnar=not args.no_columnar)
+            use_planner=not args.no_planner)
     if trace is not None:
         print(trace.render())
     dump_instance(result.target, args.out)
@@ -178,13 +171,6 @@ def _cmd_transform(args) -> int:
         # Indexes prebuilt by the planner are counted on the plan; the
         # stats delta covers only lazy in-run builds.
         prebuilt = result.plan.prebuilt_indexes if result.plan else 0
-        if stats.parallel_workers:
-            parallel_note = (f"{stats.shards_run} shards over "
-                             f"{stats.parallel_workers} workers, ")
-        elif stats.shards_run:
-            parallel_note = f"{stats.shards_run} shard in-process, "
-        else:
-            parallel_note = ""
         if stats.vectorized_steps or stats.fallback_steps:
             vector_note = (f"{stats.vectorized_steps} vectorized steps "
                            f"({stats.fallback_steps} fallback, "
@@ -195,7 +181,6 @@ def _cmd_transform(args) -> int:
         print(f"stats: {stats.clauses_run} clauses "
               f"({stats.clauses_planned} planned, "
               f"{stats.atoms_reordered} atoms reordered), "
-              f"{parallel_note}"
               f"{vector_note}"
               f"{stats.bindings_found} bindings, "
               f"{prebuilt + stats.indexes_built} indexes built, "
@@ -225,18 +210,12 @@ def _cmd_check(args) -> int:
     instances = [load_instance(path) for path in args.data]
     merged = (instances[0] if len(instances) == 1
               else merge_instances("__check__", instances))
-    if args.parallel is not None and args.no_planner:
-        print("error: --parallel shards join plans; drop --no-planner",
-              file=sys.stderr)
-        return 2
     tracing = (start_trace("check", program=args.program)
                if args.trace else nullcontext(None))
     with tracing as trace:
         report = audit_constraints(merged, list(program),
                                    limit_per_clause=10,
-                                   use_planner=not args.no_planner,
-                                   parallel=args.parallel,
-                                   columnar=not args.no_columnar)
+                                   use_planner=not args.no_planner)
     if trace is not None:
         print(trace.render())
     if args.json:
@@ -266,11 +245,8 @@ def _cmd_apply_delta(args) -> int:
     merged = (instances[0] if len(instances) == 1
               else merge_instances("__delta__", instances))
     delta = load_delta(args.delta, merged, labels=labels)
-    columnar = not args.no_columnar
-    transform_state = morphase.begin_incremental(instances,
-                                                 columnar=columnar)
-    audit_state = morphase.begin_incremental_audit(instances,
-                                                   columnar=columnar)
+    transform_state = morphase.begin_incremental(instances)
+    audit_state = morphase.begin_incremental_audit(instances)
     violations_before = len(audit_state.violations())
     result = morphase.apply_delta(transform_state, delta)
     audit_diff = morphase.audit_delta(audit_state, delta)
@@ -378,7 +354,6 @@ def _cmd_program(args) -> int:
         client = ServiceClient(args.url)
         try:
             result = client.program(text=text,
-                                    columnar=not args.no_columnar,
                                     explain=args.explain,
                                     trace=args.trace)
             trace_doc = client.last_trace
@@ -405,9 +380,7 @@ def _cmd_program(args) -> int:
         tracing = (start_trace("program", program=args.program)
                    if args.trace else nullcontext(None))
         with tracing as trace:
-            outcome = run_compiled(compiled, merged,
-                                   columnar=not args.no_columnar,
-                                   shards=args.shards)
+            outcome = run_compiled(compiled, merged)
         if trace is not None:
             trace_doc = trace.to_json()
         result = outcome.to_json()
@@ -426,8 +399,7 @@ def _cmd_program(args) -> int:
         notes = ""
         if trace.get("op") == "query":
             mode = "planned" if trace.get("planned") else "dynamic"
-            vec = ", columnar" if trace.get("columnar") else ""
-            notes = f"  [{mode}{vec}]"
+            notes = f"  [{mode}]"
         print(f"  {trace['name']:<12} {trace['op']:<10} "
               f"{trace['rows']} row(s){notes}")
     columns = result.get("columns", [])
@@ -642,15 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     transform_p.add_argument("--no-planner", action="store_true",
                              help="disable the execution planner (naive "
                                   "per-clause path)")
-    transform_p.add_argument("--no-columnar", action="store_true",
-                             help="disable vectorized (columnar) "
-                                  "execution; planned clauses run "
-                                  "row-at-a-time")
-    transform_p.add_argument("--parallel", type=int, metavar="N",
-                             help="shard execution across N worker "
-                                  "processes (planned path only; the "
-                                  "target is byte-identical to a "
-                                  "sequential run)")
     transform_p.add_argument("--stats", action="store_true",
                              help="print executor/planner statistics")
     transform_p.add_argument("--trace", action="store_true",
@@ -662,12 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--no-planner", action="store_true",
                          help="disable the audit planner (naive "
                               "per-clause matchers)")
-    check_p.add_argument("--no-columnar", action="store_true",
-                         help="disable vectorized (columnar) body "
-                              "enumeration for planned constraints")
-    check_p.add_argument("--parallel", type=int, metavar="N",
-                         help="shard the audit across N worker "
-                              "processes (violation sets union)")
     check_p.add_argument("--stats", action="store_true",
                          help="print audit planner/index statistics")
     check_p.add_argument("--json", action="store_true",
@@ -683,9 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="delta JSON file to apply")
     delta_p.add_argument("--out", required=True,
                          help="updated target instance JSON to write")
-    delta_p.add_argument("--no-columnar", action="store_true",
-                         help="disable vectorized (columnar) seeded "
-                              "delta joins")
     delta_p.add_argument("--stats", action="store_true",
                          help="print incremental propagation statistics")
     delta_p.add_argument("--json", action="store_true",
@@ -764,13 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(no execution)")
     program_p.add_argument("--explain", action="store_true",
                            help="include per-statement execution plans")
-    program_p.add_argument("--no-columnar", action="store_true",
-                           help="disable vectorized (columnar) "
-                                "execution of planned query statements")
-    program_p.add_argument("--shards", type=int, default=1, metavar="N",
-                           help="run shardable query statements as N "
-                                "sequential shards (local mode; results "
-                                "are byte-identical to --shards 1)")
     program_p.add_argument("--trace", action="store_true",
                            help="print the EXPLAIN-ANALYZE span tree "
                                 "(per-statement timings; with --url the "

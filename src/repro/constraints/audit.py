@@ -105,9 +105,7 @@ def audit_constraints(instance: Instance,
                       constraints: Sequence[Clause],
                       limit_per_clause: Optional[int] = 10,
                       use_planner: bool = True,
-                      plan: Optional[AuditPlan] = None,
-                      parallel: Optional[int] = None,
-                      columnar: bool = True
+                      plan: Optional[AuditPlan] = None
                       ) -> ConstraintReport:
     """Check every constraint; collect up to ``limit_per_clause``
     violations each.
@@ -118,22 +116,7 @@ def audit_constraints(instance: Instance,
     precomputed plan (amortising planning and index builds across
     repeated audits); ``use_planner=False`` is the naive per-clause
     oracle.
-
-    ``parallel=N`` runs the planned audit across ``N`` worker processes
-    (:func:`repro.engine.parallel.audit_parallel`): every clause's body
-    enumeration is hash-sharded, the shards' violation sets union, and
-    the report's index counters sum the per-shard activity.  Within a
-    clause the merged violations are sorted textually, so parallel
-    reports are deterministic whatever order workers finish in.
     """
-    if parallel is not None:
-        if not use_planner or plan is not None:
-            raise ValueError(
-                "parallel audits shard join plans; they cannot run "
-                "with use_planner=False or an injected plan")
-        return _audit_constraints_parallel(instance, constraints,
-                                           limit_per_clause, parallel,
-                                           columnar=columnar)
     start = time.perf_counter()
     report = ConstraintReport(checked=len(constraints))
     audit_plan = plan
@@ -164,8 +147,7 @@ def audit_constraints(instance: Instance,
             else:
                 clause_plan = audit_plan.plan_for(clause)
         found = clause_violations(instance, clause, limit_per_clause,
-                                  matcher=matcher, plan=clause_plan,
-                                  columnar=columnar)
+                                  matcher=matcher, plan=clause_plan)
         if found:
             name = clause.name or f"<clause {index}>"
             report.violations.setdefault(name, []).extend(found)
@@ -176,33 +158,5 @@ def audit_constraints(instance: Instance,
         report.index_lookups = pool.lookups - baseline[1]
         report.index_hits = pool.hits - baseline[2]
         report.index_misses = pool.misses - baseline[3]
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
-
-
-def _audit_constraints_parallel(instance: Instance,
-                                constraints: Sequence[Clause],
-                                limit_per_clause: Optional[int],
-                                workers: int,
-                                columnar: bool = True) -> ConstraintReport:
-    """The sharded fan-out behind ``audit_constraints(parallel=N)``."""
-    from ..engine.parallel import audit_parallel
-    start = time.perf_counter()
-    result = audit_parallel(constraints, instance, workers,
-                            limit_per_clause=limit_per_clause,
-                            columnar=columnar)
-    report = ConstraintReport(checked=len(constraints))
-    for index, found in sorted(result.violations_by_clause.items()):
-        if not found:
-            continue
-        name = constraints[index].name or f"<clause {index}>"
-        report.violations.setdefault(name, []).extend(found)
-    report.planned_bodies = result.planned_bodies
-    report.planned_heads = result.planned_heads
-    report.prebuilt_indexes = result.prebuilt_indexes
-    report.indexes_built = result.indexes_built
-    report.index_lookups = result.index_lookups
-    report.index_hits = result.index_hits
-    report.index_misses = result.index_misses
     report.elapsed_seconds = time.perf_counter() - start
     return report

@@ -3,33 +3,22 @@
 ``executor`` applies clause heads and assembles the target instance;
 ``planner`` computes per-clause join plans (fixed atom orders) and the
 shared index pool that the planned execution path runs on;
+``columnar`` runs those plans as batch stages over binding columns;
 ``incremental`` maintains targets and constraint-violation sets under
-source deltas with semi-naive delta joins over the same plans and pool;
-``parallel`` fans the planned path out across worker processes with
-hash-sharded driving generators and merges the shards back into one
-byte-identical target.
+source deltas with semi-naive delta joins over the same plans and pool.
 """
 
 from .executor import ExecutionError, ExecutionStats, Executor, execute
 from .planner import (AuditPlan, ConstraintPlan, DeltaSeed, JoinPlan,
                       PlanError, ProgramPlan, plan_audit, plan_clause,
-                      plan_constraint, plan_delta_seeds, plan_program,
-                      shard_constraint_plan, shard_join_plan,
-                      shardable_step)
+                      plan_constraint, plan_delta_seeds, plan_program)
 from .incremental import (AuditDeltaResult, DeltaResult, IncrementalAudit,
                           IncrementalStats, IncrementalTransform,
                           ReverseIndex)
-from .parallel import (AuditEnvelope, ParallelAuditResult,
-                       TransformEnvelope, audit_parallel,
-                       execute_parallel)
 
 __all__ = ["ExecutionError", "ExecutionStats", "Executor", "execute",
            "AuditPlan", "ConstraintPlan", "DeltaSeed", "JoinPlan",
            "PlanError", "ProgramPlan", "plan_audit", "plan_clause",
            "plan_constraint", "plan_delta_seeds", "plan_program",
-           "shard_constraint_plan", "shard_join_plan",
-           "shardable_step",
            "AuditDeltaResult", "DeltaResult", "IncrementalAudit",
-           "IncrementalStats", "IncrementalTransform", "ReverseIndex",
-           "AuditEnvelope", "ParallelAuditResult", "TransformEnvelope",
-           "audit_parallel", "execute_parallel"]
+           "IncrementalStats", "IncrementalTransform", "ReverseIndex"]

@@ -1,20 +1,22 @@
 """Vectorized plan-step execution over columnar batches.
 
-The scalar hot path (:meth:`repro.semantics.match.Matcher.run_plan`)
-threads one binding dict at a time through the plan — a dict copy, a
-mode dispatch and a recursive ``evaluate()`` walk per step per binding.
-This module executes the *same* :class:`~repro.semantics.match.PlanStep`
-sequence one **batch** at a time instead: a batch is a dict of parallel
-binding columns (``variable -> list of values``) plus a row count, and
-each step consumes the whole batch — extent cross-products, batched
-index probes, selector filters as list comprehensions — emitting the
+This is the planned execution path.  Row-at-a-time plan execution
+(:meth:`repro.semantics.match.Matcher.run_plan`) threads one binding
+dict at a time through the plan — a dict copy, a mode dispatch and a
+recursive ``evaluate()`` walk per step per binding.  This module
+executes the same :class:`~repro.semantics.match.PlanStep` sequence
+one **batch** at a time instead: a batch is a dict of parallel binding
+columns (``variable -> list of values``) plus a row count, and each
+step consumes the whole batch — extent cross-products, batched index
+probes, selector filters as list comprehensions — emitting the
 surviving columns.
 
-Equivalence with the scalar path is positional, not just set-wise: a
-batch stage maps input rows in order and expands each row's candidates
-in the scalar candidate order, so the final rows enumerate in exactly
-the depth-first order ``_run_steps`` produces.  The differential fuzz
-harness holds the two paths to byte-equal results.
+Equivalence with row-at-a-time execution is positional, not just
+set-wise: a batch stage maps input rows in order and expands each row's
+candidates in the scalar candidate order, so the final rows enumerate
+in exactly the depth-first order ``_run_steps`` produces
+(``tests/engine/test_columnar.py`` pins that order).  The differential
+fuzz harness holds planned results byte-equal to the naive oracle.
 
 Steps the compiler cannot vectorize — membership or ``in`` generators
 whose element is a *pattern* (unification against record/Skolem
@@ -48,8 +50,7 @@ from ..semantics.eval import Binding, skolem_key
 from ..semantics.match import (STEP_COMPARE, STEP_EQ_BIND, STEP_EQ_TEST,
                                STEP_IN_GENERATE, STEP_IN_TEST,
                                STEP_MEMBER_INDEX, STEP_MEMBER_SCAN,
-                               STEP_MEMBER_TEST, Matcher, PlanStep,
-                               shard_hash)
+                               STEP_MEMBER_TEST, Matcher, PlanStep)
 
 #: A batch: parallel binding columns, all of one length.
 Columns = Dict[str, List[Value]]
@@ -374,18 +375,12 @@ def _scan_stage(matcher: Matcher, step: PlanStep) -> Stage:
     assert isinstance(atom, MemberAtom) and isinstance(atom.element, Var)
     class_name = atom.class_name
     name = atom.element.name
-    shard = step.shard
-
     row_name = _ROW_PREFIX + name
 
     def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
         store = matcher.columns()
-        if shard is not None:
-            extent = store.shard_extent(class_name, shard[0], shard[1])
-            rows = None
-        else:
-            extent = store.extent(class_name)
-            rows = store.extent_rows(class_name)
+        extent = store.extent(class_name)
+        rows = store.extent_rows(class_name)
         width = len(extent)
         if width == 0:
             return {}, 0
@@ -396,8 +391,7 @@ def _scan_stage(matcher: Matcher, step: PlanStep) -> Stage:
             out = {variable: [value for value in column for _ in repeated]
                    for variable, column in columns.items()}
         out[name] = list(extent) if count == 1 else extent * count
-        if rows is not None:
-            out[row_name] = list(rows) if count == 1 else rows * count
+        out[row_name] = list(rows) if count == 1 else rows * count
         return out, count * width
     return stage
 
@@ -410,7 +404,6 @@ def _index_stage(matcher: Matcher, step: PlanStep,
     name = atom.element.name
     path = step.selector_path
     selector = compile_term(step.selector_term, matcher, var_class)
-    shard = step.shard
     scan = _scan_stage(matcher, step)
 
     def stage(columns: Columns, count: int) -> Tuple[Columns, int]:
@@ -438,20 +431,6 @@ def _index_stage(matcher: Matcher, step: PlanStep,
         pool.lookups += lookups
         pool.hits += hits
         pool.misses += misses
-        if shard is not None:
-            index_of, shards = shard
-            hashes = matcher._shard_hashes
-            narrowed_keep: List[int] = []
-            narrowed: List[Value] = []
-            for row, oid in zip(keep, out_column):
-                code = hashes.get(oid)
-                if code is None:
-                    code = shard_hash(oid)
-                    hashes[oid] = code
-                if code % shards == index_of:
-                    narrowed_keep.append(row)
-                    narrowed.append(oid)
-            keep, out_column = narrowed_keep, narrowed
         out = {variable: [column[row] for row in keep]
                for variable, column in columns.items()}
         out[name] = out_column
@@ -536,7 +515,7 @@ def _in_generate_stage(matcher: Matcher, step: PlanStep,
                 subject_rows = columns.get(row_name)
                 if subject_rows is not None:
                     # Integer-indexed: the subject column carries its
-                    # raw store rows (bound by an unsharded scan).
+                    # raw store rows (bound by a scan).
                     mask = [lengths[at] for at in subject_rows]
                     if max(mask, default=0) <= 1:
                         # Option idiom (0/1-element sets): a straight

@@ -19,11 +19,13 @@ Two body-evaluation paths exist.  The **planned** path
 default through :class:`repro.morphase.system.Morphase`) plans the whole
 program once via :mod:`repro.engine.planner`: per clause a fixed atom
 order compiled into plan steps, and across clauses one shared, prebuilt
-index pool — no per-binding atom re-classification, no per-matcher lazy
-index builds.  The **naive** path runs each clause through the dynamic
-matcher independently; it is kept both as the fallback for clauses the
-planner cannot order statically and as the oracle in differential tests
-(planned and naive execution must produce identical target instances).
+index pool.  Each planned clause then runs as batch stages over whole
+binding columns (:mod:`repro.engine.columnar`) with its head effects
+applied column-wise.  The **naive** path runs each clause through the
+dynamic matcher independently; it is kept both as the fallback for
+clauses the planner cannot order statically and as the oracle in
+differential tests (planned and naive execution must produce identical
+target instances).
 
 The executor is deliberately independent of the normaliser: any program
 whose clause bodies mention only source classes can be run, which is what
@@ -44,9 +46,11 @@ from ..model.types import RecordType, SetType
 from ..model.values import Oid, Record, Value, WolSet, format_value
 from ..obs.metrics import publish_engine_stats
 from ..obs.trace import span
+from ..semantics.columns import MISSING
 from ..semantics.eval import Binding, EvalError, evaluate
-from ..semantics.match import IndexPool, Matcher
-from .planner import JoinPlan, ProgramPlan, plan_program, shard_join_plan
+from ..semantics.match import STEP_EQ_BIND, IndexPool, Matcher
+from .columnar import compile_term, run_steps_columnar
+from .planner import JoinPlan, ProgramPlan, plan_program
 
 
 class ExecutionError(Exception):
@@ -92,40 +96,12 @@ class ExecutionStats:
     scans_avoided: int = 0
     #: Vectorized execution (:mod:`repro.engine.columnar`): plan steps
     #: run as whole-batch array operations vs. steps that fell back to
-    #: the scalar path, total rows entering vectorized steps, and the
-    #: largest batch seen (0s whenever ``columnar`` is off).
+    #: row-at-a-time expansion, total rows entering vectorized steps,
+    #: and the largest batch seen (0s on the naive path).
     vectorized_steps: int = 0
     fallback_steps: int = 0
     vectorized_rows: int = 0
     max_batch_rows: int = 0
-    #: Parallel execution only: shards executed and worker processes
-    #: used (0/0 on the sequential paths).  The additive counters above
-    #: are summed across shards, so e.g. ``bindings_found`` still equals
-    #: the sequential run's count.
-    shards_run: int = 0
-    parallel_workers: int = 0
-
-    def add(self, other: "ExecutionStats") -> None:
-        """Accumulate another run's additive counters into this one.
-
-        ``elapsed_seconds`` is *not* summed — for a parallel run the
-        caller records wall-clock time, not the sum of per-shard times.
-        """
-        self.clauses_run += other.clauses_run
-        self.bindings_found += other.bindings_found
-        self.objects_created += other.objects_created
-        self.attributes_set += other.attributes_set
-        self.clauses_planned += other.clauses_planned
-        self.atoms_reordered += other.atoms_reordered
-        self.indexes_built += other.indexes_built
-        self.index_hits += other.index_hits
-        self.index_misses += other.index_misses
-        self.scans_avoided += other.scans_avoided
-        self.vectorized_steps += other.vectorized_steps
-        self.fallback_steps += other.fallback_steps
-        self.vectorized_rows += other.vectorized_rows
-        self.max_batch_rows = max(self.max_batch_rows,
-                                  other.max_batch_rows)
 
 
 @dataclass
@@ -145,30 +121,14 @@ class Executor:
     index pool) and every plannable clause streams bindings from its
     precompiled steps.  ``index_pool`` injects a pool shared beyond this
     executor (e.g. across repeated runs over the same source).
-
-    ``shard`` (a ``(shard_index, shard_count)`` pair) turns this
-    executor into one worker of a parallel run: each clause's join plan
-    is recompiled with its driving generator restricted to the shard's
-    oids (:func:`repro.engine.planner.shard_join_plan`), and clauses
-    that cannot be sharded — no driving generator, or no static plan at
-    all — run *whole on shard 0 only*, so across all shards every
-    clause solution is enumerated exactly once.  The resulting pending
-    stores merge through :meth:`absorb`.
     """
 
     def __init__(self, source: Instance, target_schema: Schema,
                  use_planner: bool = False,
-                 index_pool: Optional[IndexPool] = None,
-                 shard: Optional[Tuple[int, int]] = None,
-                 columnar: bool = True) -> None:
+                 index_pool: Optional[IndexPool] = None) -> None:
         self.source = source
         self.target_schema = target_schema
         self.use_planner = use_planner
-        self.shard = shard
-        #: Vectorized plan execution (applies to planned clauses only;
-        #: the dynamic fallback is always object-at-a-time).  Off, the
-        #: scalar ``run_plan`` path serves as the differential oracle.
-        self.columnar = columnar
         self._matcher = Matcher(source, index_pool=index_pool)
         self._pending: Dict[Oid, _PendingObject] = {}
         #: Pending objects per class — lets the batched head prove "no
@@ -200,19 +160,7 @@ class Executor:
             self._matcher.pool = plan.pool
             baseline = self._pool_snapshot()
         for clause in clauses:
-            join_plan = plan.plan_for(clause) if plan else None
-            if self.shard is not None:
-                shard_index, shard_count = self.shard
-                if join_plan is not None:
-                    sharded = shard_join_plan(join_plan, shard_index,
-                                              shard_count)
-                    if sharded is not None:
-                        join_plan = sharded
-                    elif shard_index != 0:
-                        continue  # unshardable clause: shard 0 owns it
-                elif shard_index != 0:
-                    continue  # dynamic-fallback clause: shard 0 owns it
-            self.run_clause(clause, join_plan)
+            self.run_clause(clause, plan.plan_for(clause) if plan else None)
         self._sync_index_stats(baseline)
         self.stats.elapsed_seconds += time.perf_counter() - start
         publish_engine_stats(self.engine_label(plan), self.stats)
@@ -220,12 +168,8 @@ class Executor:
 
     def engine_label(self, plan: Optional[ProgramPlan] = None) -> str:
         """Which execution engine this run used (metrics label)."""
-        planned = plan is not None or self.use_planner
-        if self.shard is not None:
-            return "parallel"
-        if planned and self.columnar:
-            return "columnar"
-        return "planned" if planned else "naive"
+        return ("planned" if plan is not None or self.use_planner
+                else "naive")
 
     def run_clause(self, clause: Clause,
                    join_plan: Optional[JoinPlan] = None) -> None:
@@ -233,30 +177,24 @@ class Executor:
 
         Without ``join_plan`` this is the naive path: the dynamic matcher
         re-derives the atom order per binding (kept as the differential
-        oracle).  With a plan, bindings stream from the precompiled steps.
+        oracle).  With a plan, the body runs as batch stages over the
+        precompiled steps and the head applies column-wise.
         """
         self._check_source_only(clause)
         plan = _HeadPlan(clause, self.target_schema)
         self.stats.clauses_run += 1
-        mode = ("columnar" if join_plan is not None and self.columnar
-                else "planned" if join_plan is not None else "dynamic")
         before = self.stats.bindings_found
         with span(f"clause {clause.name or clause}",
-                  mode=mode) as clause_span:
+                  mode="planned" if join_plan is not None
+                  else "dynamic") as clause_span:
             if join_plan is not None:
                 self.stats.clauses_planned += 1
                 self.stats.atoms_reordered += join_plan.atoms_reordered
-                if self.columnar:
-                    self._run_clause_columnar(clause, plan, join_plan)
-                    clause_span.set(
-                        rows=self.stats.bindings_found - before)
-                    return
-                bindings = self._matcher.run_plan(join_plan.steps)
+                self._run_clause_columnar(clause, plan, join_plan)
             else:
-                bindings = self._matcher.solutions(clause.body)
-            for binding in bindings:
-                self.stats.bindings_found += 1
-                self._apply_head(plan, binding, clause)
+                for binding in self._matcher.solutions(clause.body):
+                    self.stats.bindings_found += 1
+                    self._apply_head(plan, binding, clause)
             clause_span.set(rows=self.stats.bindings_found - before)
 
     def _run_clause_columnar(self, clause: Clause, plan: "_HeadPlan",
@@ -272,8 +210,6 @@ class Executor:
         through the scalar :func:`head_effects`, so errors surface with
         exactly the scalar message at exactly the scalar position.
         """
-        from ..semantics.match import STEP_EQ_BIND
-        from .columnar import run_steps_columnar
         # The head reads exactly these variables (``head_effects``'s
         # evaluation surface); every other binding column is dead after
         # the body and gets dropped between stages.
@@ -347,8 +283,6 @@ class Executor:
         already exist by then: creation is idempotent and observable
         only through the class check, which is part of the precheck.)
         """
-        from ..semantics.columns import MISSING
-        from .columnar import compile_term
         matcher = self._matcher
         local: Dict[str, List[Value]] = dict(columns)
 
@@ -693,62 +627,6 @@ class Executor:
                                                   set()).add(effect[3])
                 self.stats.attributes_set += 1
 
-    # ------------------------------------------------------------------
-    # Shard merging (parallel execution)
-    # ------------------------------------------------------------------
-    def pending_export(self) -> Dict[Oid, _PendingObject]:
-        """This executor's pending store, for cross-process transfer.
-
-        Every piece is a plain picklable value; a worker returns this
-        and the coordinating process replays it through :meth:`absorb`.
-        """
-        return self._pending
-
-    def adopt(self, pending: Mapping[Oid, _PendingObject]) -> None:
-        """Take over pending objects no other shard contributed to.
-
-        The parallel merge uses this fast path for the (typical) case
-        of an object derived entirely within one shard: there is
-        nothing to reconcile, so the whole pending record moves across
-        instead of being replayed attribute by attribute.  The caller
-        guarantees the oids are absent from this executor's store —
-        cross-shard objects must go through :meth:`absorb`, which
-        checks agreement.
-        """
-        for oid, remote in pending.items():
-            if not self.target_schema.has_class(oid.class_name):
-                raise ExecutionError(
-                    f"object {oid} belongs to no target class")
-            if oid in self._pending:
-                # Overwriting would silently drop the earlier shard's
-                # contributions; absorb() is the reconciling path.
-                raise ExecutionError(
-                    f"adopt() would overwrite pending object {oid}; "
-                    f"cross-shard objects must merge through absorb()")
-            self._pending[oid] = remote
-            self.stats.objects_created += 1
-
-    def absorb(self, pending: Mapping[Oid, _PendingObject]) -> None:
-        """Merge another executor's pending store into this one.
-
-        Replays the remote store through the same accumulation rules a
-        local clause firing uses: object creation is idempotent,
-        attribute assignments must agree (a disagreement raises
-        :class:`ExecutionError` exactly as it would had both firings
-        happened in one sequential run), and set insertions union.
-        Merging all shards of a parallel run therefore reconstructs the
-        sequential pending store — :meth:`freeze` then assembles a
-        byte-identical target.
-        """
-        for oid, remote in pending.items():
-            local = self._ensure_object(oid)
-            for attr, value in remote.attributes.items():
-                self._set_attribute(oid, attr, value,
-                                    remote.provenance.get(attr, "?"))
-            for attr, elements in remote.set_attributes.items():
-                local.set_attributes.setdefault(attr,
-                                                set()).update(elements)
-
     def provenance(self) -> Dict[Oid, Dict[str, str]]:
         """Which clause derived each attribute of each pending object.
 
@@ -1076,19 +954,15 @@ def execute(program: Program, source: Instance,
             target_schema: Schema, validate: bool = True,
             defaults: Optional[Mapping[Tuple[str, str], Value]] = None,
             use_planner: bool = False,
-            plan: Optional[ProgramPlan] = None,
-            columnar: bool = True
+            plan: Optional[ProgramPlan] = None
             ) -> Tuple[Instance, ExecutionStats]:
     """Run a normal-form program and return (target instance, stats).
 
     ``use_planner`` (or an explicit precomputed ``plan``) switches body
-    evaluation to the planned path; ``columnar`` (on by default, only
-    effective on planned runs) executes each planned clause as batch
-    stages over whole binding columns.  The result is identical on
-    every path.
+    evaluation to the planned path.  The result is identical on both
+    paths.
     """
-    executor = Executor(source, target_schema, use_planner=use_planner,
-                        columnar=columnar)
+    executor = Executor(source, target_schema, use_planner=use_planner)
     executor.run_program(program, plan=plan)
     return (executor.freeze(validate=validate, defaults=defaults),
             executor.stats)

@@ -81,8 +81,8 @@ class Oid:
 
     def __getstate__(self):
         # str hashes are salted per process: never ship a cached hash
-        # across a pickle boundary (the parallel engine does).  The
-        # cached rendering is dropped too — it is pure payload.
+        # across a pickle boundary.  The cached rendering is dropped
+        # too — it is pure payload.
         state = dict(self.__dict__)
         state.pop("_hash", None)
         state.pop("_str", None)

@@ -187,9 +187,7 @@ class Morphase:
 
     # ------------------------------------------------------------------
     def check_source(self, source: Instance,
-                     use_planner: bool = True,
-                     parallel: Optional[int] = None,
-                     columnar: bool = True) -> List[Violation]:
+                     use_planner: bool = True) -> List[Violation]:
         """Audit the merged source instance against source constraints.
 
         Includes schema-level key specifications: a key violation is
@@ -197,15 +195,12 @@ class Morphase:
         The audit is planned by default (one shared prebuilt index pool
         across all constraint clauses); ``use_planner=False`` runs the
         naive per-clause matchers, kept as the differential oracle.
-        ``parallel=N`` fans the audit out across ``N`` worker processes
-        with hash-sharded body enumerations (violation sets union).
         """
         self._ensure_preflight()
         normalized = self.compile()
         violations = list(program_violations(
             source, normalized.source_constraints, limit_per_clause=5,
-            use_planner=use_planner, parallel=parallel,
-            columnar=columnar))
+            use_planner=use_planner))
         if self.source_keys is not None:
             for bad in key_violations(source, self.source_keys):
                 violations.append(Violation(_key_violation_clause(bad), {}))
@@ -237,9 +232,7 @@ class Morphase:
                   check_source_constraints: bool = False,
                   backend: str = "direct",
                   defaults=None,
-                  use_planner: bool = True,
-                  parallel: Optional[int] = None,
-                  columnar: bool = True) -> MorphaseResult:
+                  use_planner: bool = True) -> MorphaseResult:
         """Run the compiled program over the source instance(s).
 
         ``backend`` is ``"direct"`` (the one-pass executor) or ``"cpl"``
@@ -252,14 +245,6 @@ class Morphase:
         (fixed atom orders plus a shared prebuilt index pool);
         ``use_planner=False`` forces the naive per-clause path, kept as
         the differential oracle.
-
-        ``parallel=N`` shards the planned direct path across ``N``
-        worker processes (:func:`repro.engine.parallel.execute_parallel`)
-        — every clause's driving generator is hash-partitioned and the
-        shards merge into a target byte-identical to the sequential
-        result.  Parallel execution *is* planned execution, so it
-        cannot be combined with ``use_planner=False`` or the CPL
-        backend.
         """
         with span("preflight"):
             self._ensure_preflight()
@@ -275,35 +260,8 @@ class Morphase:
                     "source constraints violated: "
                     + "; ".join(str(v) for v in found[:5]))
 
-        if parallel is not None:
-            if backend != "direct":
-                raise MorphaseError(
-                    "parallel execution supports only the direct "
-                    "backend")
-            if not use_planner:
-                raise MorphaseError(
-                    "parallel execution shards join plans; it cannot "
-                    "run with use_planner=False (drop --no-planner)")
-            if parallel < 1:
-                raise MorphaseError("parallel worker count must be >= 1")
-
         program_plan: Optional[ProgramPlan] = None
         if backend == "direct":
-            if parallel is not None:
-                from ..engine.parallel import execute_parallel
-                with span("plan") as plan_span:
-                    program_plan = plan_program(normalized.program(),
-                                                merged)
-                    plan_span.set(indexes=program_plan.prebuilt_indexes)
-                target, stats = execute_parallel(
-                    normalized.program(), merged, self.target_plain,
-                    parallel, validate=validate, defaults=defaults,
-                    plan=program_plan, columnar=columnar)
-                return MorphaseResult(target=target,
-                                      normalized=normalized,
-                                      stats=stats,
-                                      source_violations=source_violations,
-                                      plan=program_plan)
             if use_planner:
                 with span("plan") as plan_span:
                     program_plan = plan_program(normalized.program(),
@@ -313,7 +271,7 @@ class Morphase:
                 target, stats = execute(
                     normalized.program(), merged, self.target_plain,
                     validate=validate, defaults=defaults,
-                    plan=program_plan, columnar=columnar)
+                    plan=program_plan)
             cpl_source = None
         elif backend == "cpl":
             if defaults:
@@ -343,7 +301,7 @@ class Morphase:
     # ------------------------------------------------------------------
     def begin_incremental(self, sources: Union[Instance,
                                                Sequence[Instance]],
-                          defaults=None, columnar: bool = True):
+                          defaults=None):
         """Start an incremental transformation session.
 
         Runs the compiled program once (planned, recording per-clause
@@ -358,8 +316,7 @@ class Morphase:
         merged = self._merge_sources(sources)
         normalized = self.compile()
         return IncrementalTransform(normalized.program(), merged,
-                                    self.target_plain, defaults=defaults,
-                                    columnar=columnar)
+                                    self.target_plain, defaults=defaults)
 
     def apply_delta(self, state, delta):
         """Advance an incremental session by one source delta.
@@ -375,8 +332,7 @@ class Morphase:
 
     def begin_incremental_audit(self, sources: Union[Instance,
                                                      Sequence[Instance]],
-                                constraints=None,
-                                columnar: bool = True):
+                                constraints=None):
         """Start an incremental source-constraint audit session.
 
         Audits the merged source against ``constraints`` (default: the
@@ -389,7 +345,7 @@ class Morphase:
         merged = self._merge_sources(sources)
         if constraints is None:
             constraints = list(self.compile().source_constraints)
-        return IncrementalAudit(merged, constraints, columnar=columnar)
+        return IncrementalAudit(merged, constraints)
 
     def audit_delta(self, state, delta):
         """Advance an incremental audit session by one source delta.
@@ -454,9 +410,7 @@ class Morphase:
     # ------------------------------------------------------------------
     def audit(self, sources: Union[Instance, Sequence[Instance]],
               target: Instance,
-              use_planner: bool = True,
-              parallel: Optional[int] = None,
-              columnar: bool = True) -> List[Violation]:
+              use_planner: bool = True) -> List[Violation]:
         """Check the original program (transformations + constraints)
         against source and target together — the definition of a
         Tr-transformation (Section 3.2).
@@ -465,8 +419,6 @@ class Morphase:
         and head-satisfiability probe is compiled into a fixed join
         order and executed over one shared, prebuilt index pool.
         ``use_planner=False`` is the naive per-clause oracle.
-        ``parallel=N`` shards every clause's body enumeration across
-        ``N`` worker processes and unions the violation sets.
         """
         self._ensure_preflight()
         if isinstance(sources, Instance):
@@ -474,9 +426,7 @@ class Morphase:
         combined = merge_instances("__audit__", list(sources) + [target])
         return list(program_violations(combined, self.program,
                                        limit_per_clause=5,
-                                       use_planner=use_planner,
-                                       parallel=parallel,
-                                       columnar=columnar))
+                                       use_planner=use_planner))
 
 
 def _key_violation_clause(violation) -> Clause:

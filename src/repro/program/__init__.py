@@ -5,8 +5,8 @@ served over the API") — statically-bounded named statements, each a WOL
 conjunctive query or a set-algebra fold of earlier results, with a
 canonical versioned JSON AST (:mod:`~repro.program.ast`), a text form
 that round-trips through it (:mod:`~repro.program.parser`), WOL5xx
-static validation (:mod:`~repro.program.validate`), and planned /
-columnar / shardable execution (:mod:`~repro.program.compile`,
+static validation (:mod:`~repro.program.validate`), and planned
+columnar execution (:mod:`~repro.program.compile`,
 :mod:`~repro.program.interp`).  Served as ``POST /program`` by
 :mod:`repro.service` and as ``repro program`` on the CLI.
 """

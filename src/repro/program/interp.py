@@ -10,24 +10,22 @@ rendering.  That single definition buys three guarantees at once:
 * set algebra (``union``/``intersect``/``difference``) is well-defined
   — row equality is JSON equality;
 * ``limit`` is deterministic — "first N" of a canonical order;
-* sharded execution is byte-identical to sequential — a shard
-  partitions the row set, and dedup-then-sort erases enumeration order.
+* planned and dynamic execution give byte-identical results —
+  dedup-then-sort erases enumeration order.
 
-``query`` statements run the planned path (vectorized columnar batches
-by default, scalar :meth:`~repro.semantics.match.Matcher.run_plan`
-otherwise), optionally sharded via
-:func:`~repro.engine.planner.shard_join_plan`; bodies with no static
-plan fall back to the dynamic matcher.  Set-algebra statements never
-touch the instance — they fold earlier result sets.
+``query`` statements run the planned path as vectorized columnar
+batches (:meth:`~repro.semantics.match.Matcher.run_plan_columnar`);
+bodies with no static plan fall back to the dynamic matcher.
+Set-algebra statements never touch the instance — they fold earlier
+result sets.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
-from ..engine.planner import shard_join_plan
 from ..io.json_io import dump_oid_encoder, value_to_json
 from ..model.instance import Instance
 from ..obs.metrics import REGISTRY
@@ -87,16 +85,12 @@ class StatementTrace:
     op: str
     rows: int
     planned: bool = False
-    columnar: bool = False
-    shards: int = 1
 
     def to_json(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"name": self.name, "op": self.op,
                                "rows": self.rows}
         if self.op == "query":
             out["planned"] = self.planned
-            out["columnar"] = self.columnar
-            out["shards"] = self.shards
         return out
 
 
@@ -121,18 +115,12 @@ class ProgramResult:
 
 
 def run_compiled(compiled: CompiledProgram, instance: Instance,
-                 columnar: bool = True, shards: int = 1,
                  oid_encoder=None) -> ProgramResult:
     """Run a compiled program against ``instance``.
 
     ``instance`` must be the instance the program was compiled against
-    (the pool's indexes address its oids).  ``shards`` > 1 partitions
-    each shardable plan's driving generator and runs the shards
-    sequentially — the differential tests use it to pin sharded ==
-    sequential; the service keeps it at 1.
+    (the pool's indexes address its oids).
     """
-    if shards < 1:
-        raise ProgramError(f"shard count must be >= 1, got {shards}")
     encoder = oid_encoder if oid_encoder is not None \
         else dump_oid_encoder(instance)
     matcher = Matcher(instance, index_pool=compiled.pool)
@@ -144,8 +132,7 @@ def run_compiled(compiled: CompiledProgram, instance: Instance,
         name = statement.statement.name
         with span(f"{op.op} {name}") as stmt_span:
             if isinstance(op, QueryOp):
-                result, trace = _run_query(statement, matcher, encoder,
-                                           columnar, shards)
+                result, trace = _run_query(statement, matcher, encoder)
             else:
                 result = _run_algebra(op, statement.columns, sets)
                 trace = StatementTrace(name=name, op=op.op,
@@ -163,12 +150,10 @@ def run_compiled(compiled: CompiledProgram, instance: Instance,
 
 
 def run_program(program: QueryProgram, instance: Instance,
-                pool=None, columnar: bool = True, shards: int = 1,
-                oid_encoder=None) -> ProgramResult:
+                pool=None, oid_encoder=None) -> ProgramResult:
     """Compile and run in one call (validation errors raise)."""
     compiled = compile_program(program, instance, pool=pool)
-    return run_compiled(compiled, instance, columnar=columnar,
-                        shards=shards, oid_encoder=oid_encoder)
+    return run_compiled(compiled, instance, oid_encoder=oid_encoder)
 
 
 # ----------------------------------------------------------------------
@@ -176,46 +161,24 @@ def run_program(program: QueryProgram, instance: Instance,
 # ----------------------------------------------------------------------
 
 def _run_query(statement: CompiledStatement, matcher: Matcher,
-               encoder, columnar: bool, shards: int
-               ) -> Tuple[ResultSet, StatementTrace]:
+               encoder) -> Tuple[ResultSet, StatementTrace]:
     query = statement.query
     assert query is not None
     columns = statement.columns
     plan = statement.plan
-
-    def bindings() -> Iterator[Dict[str, Any]]:
-        if plan is None:
-            yield from matcher.solutions(query.body)
-        elif shards > 1:
-            shard_plans = [shard_join_plan(plan, i, shards)
-                           for i in range(shards)]
-            if any(sp is None for sp in shard_plans):
-                yield from _run_steps(matcher, plan.steps, columnar)
-            else:
-                for shard_plan in shard_plans:
-                    yield from _run_steps(matcher, shard_plan.steps,
-                                          columnar)
-        else:
-            yield from _run_steps(matcher, plan.steps, columnar)
+    bindings = (matcher.solutions(query.body) if plan is None
+                else matcher.run_plan_columnar(plan.steps))
 
     def rows() -> Iterator[Row]:
-        for binding in bindings():
+        for binding in bindings:
             yield {name: value_to_json(binding[name], encoder)
                    for name in columns if name in binding}
 
     result = ResultSet.from_rows(columns, rows())
     trace = StatementTrace(
         name=statement.statement.name, op="query",
-        rows=len(result.rows), planned=plan is not None,
-        columnar=columnar and plan is not None,
-        shards=shards if plan is not None else 1)
+        rows=len(result.rows), planned=plan is not None)
     return result, trace
-
-
-def _run_steps(matcher: Matcher, steps, columnar: bool):
-    if columnar:
-        return matcher.run_plan_columnar(steps)
-    return matcher.run_plan(steps)
 
 
 def _run_algebra(op, columns: Tuple[str, ...],

@@ -99,17 +99,16 @@ class Query:
             yield {name: binding[name] for name in columns
                    if name in binding}
 
-    def run_planned(self, instance: Instance, pool=None,
-                    columnar: bool = True) -> Iterator[Row]:
+    def run_planned(self, instance: Instance, pool=None) -> Iterator[Row]:
         """Result rows via the static planner (the service hot path).
 
         Plans the body once (:func:`repro.engine.planner.plan_clause`),
         prebuilds the plan's indexes on ``pool`` (a warm session passes
         its shared :class:`~repro.semantics.match.IndexPool`; by
         default a private one is built) and executes vectorized
-        (:meth:`~repro.semantics.match.Matcher.run_plan_columnar`) or
-        scalar.  Bodies the planner cannot order statically fall back
-        to the dynamic matcher — identical rows, no speedup.
+        (:meth:`~repro.semantics.match.Matcher.run_plan_columnar`).
+        Bodies the planner cannot order statically fall back to the
+        dynamic matcher — identical rows, no speedup.
         """
         from ..engine.planner import PlanError, plan_clause
         from ..semantics.match import IndexPool
@@ -125,8 +124,7 @@ class Query:
                 matcher.solutions(self.body)
         else:
             pool.prebuild(plan.index_paths)
-            bindings = (matcher.run_plan_columnar(plan.steps)
-                        if columnar else matcher.run_plan(plan.steps))
+            bindings = matcher.run_plan_columnar(plan.steps)
         for binding in bindings:
             yield {name: binding[name] for name in columns
                    if name in binding}

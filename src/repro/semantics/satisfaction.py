@@ -75,7 +75,7 @@ def merge_instances(name: str, instances: Sequence[Instance]) -> Instance:
 def clause_violations(instance: Instance, clause: Clause,
                       limit: Optional[int] = None,
                       matcher: Optional[Matcher] = None,
-                      plan=None, columnar: bool = True) -> List[Violation]:
+                      plan=None) -> List[Violation]:
     """Counterexamples to ``clause`` in ``instance`` (up to ``limit``).
 
     ``matcher`` injects a shared matcher (and with it a shared
@@ -88,12 +88,11 @@ def clause_violations(instance: Instance, clause: Clause,
     every partial binding.  Planned and naive runs report the same
     violations (differential tests in ``tests/constraints`` enforce it).
 
-    With both a plan and ``columnar``, the body enumeration runs as
-    batch stages through the vectorized compiler
-    (:func:`repro.engine.columnar.stream_plan_columnar`) — same
-    solutions in the same order, so ``limit`` truncates identically.
-    The per-solution head probe stays scalar: it is an existence check
-    with an early exit, which the batch model cannot shortcut.
+    A planned body enumeration runs as batch stages through the
+    vectorized compiler (:func:`repro.engine.columnar.
+    stream_plan_columnar`).  The per-solution head probe runs its plan
+    one binding at a time: it is an existence check with an early exit,
+    which the batch model cannot shortcut.
     """
     matcher = matcher if matcher is not None else Matcher(instance)
     body_vars = frozenset().union(
@@ -102,11 +101,11 @@ def clause_violations(instance: Instance, clause: Clause,
         plan is not None and plan.body is not None) else None
     head_steps = plan.head.steps if (
         plan is not None and plan.head is not None) else None
-    if body_steps is not None and columnar:
+    if body_steps is not None:
         from ..engine.columnar import stream_plan_columnar
         body_bindings = stream_plan_columnar(matcher, body_steps, None)
     else:
-        body_bindings = matcher.solutions(clause.body, plan=body_steps)
+        body_bindings = matcher.solutions(clause.body)
     violations: List[Violation] = []
     for body_binding in body_bindings:
         # Project to body variables: head checking re-derives the rest.
@@ -128,9 +127,7 @@ def satisfies_clause(instance: Instance, clause: Clause) -> bool:
 def program_violations(instance: Instance, program: Iterable[Clause],
                        limit_per_clause: Optional[int] = None,
                        use_planner: bool = True,
-                       plan=None,
-                       parallel: Optional[int] = None,
-                       columnar: bool = True) -> List[Violation]:
+                       plan=None) -> List[Violation]:
     """All violations of all clauses (constraint audit).
 
     By default the whole audit is *planned*: every clause's body and
@@ -141,22 +138,8 @@ def program_violations(instance: Instance, program: Iterable[Clause],
     differential oracle.  ``plan`` injects a precomputed
     :class:`~repro.engine.planner.AuditPlan` (e.g. to amortise planning
     and index builds across repeated audits of one instance).
-    ``parallel=N`` fans the planned audit out across ``N`` worker
-    processes (:func:`repro.engine.parallel.audit_parallel`): each
-    worker enumerates its hash-shard of every clause's body solutions
-    and the violation sets union, identical to the sequential set.
     """
     clauses = list(program)
-    if parallel is not None:
-        if not use_planner or plan is not None:
-            raise ValueError(
-                "parallel audits shard join plans; they cannot run "
-                "with use_planner=False or an injected plan")
-        from ..engine.parallel import audit_parallel
-        result = audit_parallel(clauses, instance, parallel,
-                                limit_per_clause=limit_per_clause,
-                                columnar=columnar)
-        return result.violations(clauses)
     audit_plan = plan
     if audit_plan is not None and audit_plan.pool.instance is not instance:
         raise ValueError(
@@ -170,8 +153,7 @@ def program_violations(instance: Instance, program: Iterable[Clause],
     if audit_plan is None:
         for clause in clauses:
             violations.extend(
-                clause_violations(instance, clause, limit_per_clause,
-                                  columnar=columnar))
+                clause_violations(instance, clause, limit_per_clause))
         return violations
     matcher = Matcher(instance, index_pool=audit_plan.pool)
     for index, clause in enumerate(clauses):
@@ -184,7 +166,7 @@ def program_violations(instance: Instance, program: Iterable[Clause],
             clause_plan = audit_plan.plan_for(clause)
         violations.extend(clause_violations(
             instance, clause, limit_per_clause, matcher=matcher,
-            plan=clause_plan, columnar=columnar))
+            plan=clause_plan))
     return violations
 
 

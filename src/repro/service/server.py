@@ -13,8 +13,6 @@ Endpoints::
     GET  /target            full target instance (JSON interchange)
     GET  /query?body=B      conjunctive WOL query over the warm target
          [&project=X,Y]     (planned + columnar; canonical row order)
-    GET  /query?class=C     one target class extent (deprecated — use
-                            ?body= or the client's ``extent()``)
     GET  /check             live source-constraint violation set
     GET  /wal?from=N        WAL records from sequence N on (replication
          [&limit=M][&wait=S]  feed; long-polls up to S seconds when N
@@ -528,20 +526,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _query(self, session: WarehouseSession,
                params: Dict[str, list]) -> None:
         bodies = params.get("body")
-        names = params.get("class")
-        if (bodies is None) == (names is None):
-            self._error(400, "query requires exactly one of "
-                             "?body=<WOL atoms> (conjunctive query) or "
-                             "?class=<TargetClass> (extent dump)")
+        if bodies is None:
+            self._error(400, "query requires ?body=<WOL atoms> "
+                             "(conjunctive query)")
             return
-        if bodies is not None:
-            projects = params.get("project")
-            project = projects[0] if projects else None
-            self._dispatch(lambda: (
-                200, session.query_body_json(bodies[0],
-                                             project=project)))
-        else:
-            self._dispatch(lambda: (200, session.query_json(names[0])))
+        projects = params.get("project")
+        project = projects[0] if projects else None
+        self._dispatch(lambda: (
+            200, session.query_body_json(bodies[0], project=project)))
 
     @staticmethod
     def _health(session: WarehouseSession

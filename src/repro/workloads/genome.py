@@ -214,10 +214,10 @@ def sample_acedb() -> AceDatabase:
     return database
 
 
-#: Default size for parallel-scaling benchmarks: large enough that join
-#: work dominates the per-worker fixed costs (fork, re-plan, index
-#: prebuild), small enough for a CI smoke run.
-PARALLEL_BENCHMARK_SIZE = {"genes": 5000, "sequences": 10_000,
+#: Default benchmark size: large enough that join work dominates the
+#: fixed costs (planning, index prebuild), small enough for a CI smoke
+#: run.
+BENCHMARK_SIZE = {"genes": 5000, "sequences": 10_000,
                            "clones": 10_000, "sparsity": 0.9,
                            "seed": 7}
 
@@ -229,7 +229,7 @@ def benchmark_database(scale: float = 1.0,
     One shared definition of "genome default size" so every benchmark
     (and the floor gate in CI) measures the same workload.
     """
-    size = dict(PARALLEL_BENCHMARK_SIZE)
+    size = dict(BENCHMARK_SIZE)
     if seed is not None:
         size["seed"] = seed
     for field in ("genes", "sequences", "clones"):

@@ -169,9 +169,9 @@ def sample_pdb() -> Instance:
     return builder.freeze()
 
 
-#: Default size for parallel-scaling benchmarks (see
-#: :data:`repro.workloads.genome.PARALLEL_BENCHMARK_SIZE`).
-PARALLEL_BENCHMARK_SIZE = {"proteins": 2000,
+#: Default benchmark size (see
+#: :data:`repro.workloads.genome.BENCHMARK_SIZE`).
+BENCHMARK_SIZE = {"proteins": 2000,
                            "structures_per_protein": 3,
                            "ligands": 400, "bindings": 6000,
                            "seed": 7}
@@ -179,7 +179,7 @@ PARALLEL_BENCHMARK_SIZE = {"proteins": 2000,
 
 def benchmark_sources(scale: float = 1.0) -> Tuple[Instance, Instance]:
     """The canonical benchmark SWISSPROT/PDB pair, optionally scaled."""
-    size = dict(PARALLEL_BENCHMARK_SIZE)
+    size = dict(BENCHMARK_SIZE)
     for field in ("proteins", "ligands", "bindings"):
         size[field] = max(1, int(size[field] * scale))
     return generate_sources(**size)

@@ -94,11 +94,11 @@ class TestReport:
 class TestSuppressions:
     def test_file_and_clause_scoped(self):
         text = ("-- lint: disable=WOL301\n"
-                "# lint: disable=WOL204,WOL303 clause=C6\n"
+                "# lint: disable=WOL204,WOL305 clause=C6\n"
                 "T: X in Out <= I in Item;\n")
         sup = parse_suppressions(text)
         assert sup == frozenset({("WOL301", None), ("WOL204", "C6"),
-                                 ("WOL303", "C6")})
+                                 ("WOL305", "C6")})
         assert is_suppressed(sup, "WOL301", None)
         assert is_suppressed(sup, "WOL301", "anything")
         assert is_suppressed(sup, "WOL204", "C6")

@@ -162,10 +162,11 @@ class TestCheckGolden:
                          {"stats.elapsed_ms": "<elapsed>"})
         compare_to_golden("check_relibase.json", rendered)
 
-    def test_check_json_parallel_matches_sequential_golden(
+    def test_check_json_naive_matches_planned_golden(
             self, relibase_workspace, capsys):
-        """The parallel audit emits the same violations (report stats
-        differ by construction, so only the violation block is pinned)."""
+        """The naive audit emits the same violations as the planned one
+        (report stats differ by construction, so only the violation
+        block is pinned)."""
         w = relibase_workspace
         (w / "constraints.wol").write_text(RELIBASE_CONSTRAINTS_TEXT)
         self.corrupted_warehouse(w)
@@ -173,7 +174,7 @@ class TestCheckGolden:
                      "--source", str(w / "relibase.schema"),
                      str(w / "constraints.wol"),
                      "--data", str(w / "warehouse.json"),
-                     "--json", "--parallel", "2"])
+                     "--json", "--no-planner"])
         out = capsys.readouterr().out
         assert code == 1
         with open(os.path.join(GOLDEN_DIR,
@@ -279,20 +280,6 @@ class TestProgramGoldens:
         out = capsys.readouterr().out
         assert code == 0
         compare_to_golden("program_ast_genome.json", out)
-
-    def test_program_sharded_matches_golden(self, genome_workspace,
-                                            capsys):
-        """Sharded execution must reproduce the pinned bytes."""
-        w = genome_workspace
-        code = main(["program", str(w / "program.qp"),
-                     "--data", str(w / "genome.json"), "--json",
-                     "--shards", "3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        with open(os.path.join(GOLDEN_DIR,
-                               "program_genome.json")) as handle:
-            golden = json.load(handle)
-        assert json.loads(out)["rows"] == golden["rows"]
 
     def test_envelope_golden(self):
         """The versioned service envelope is wire format — pin it."""

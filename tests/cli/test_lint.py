@@ -25,10 +25,10 @@ transformation P0: X in Out, X.name = N, X.v = N
 """
 
 #: One error (WOL401), one warning (WOL301 pair), one info (WOL204),
-#: plus a suppressed WOL303 — exercises every severity and the
+#: plus a suppressed WOL305 — exercises every severity and the
 #: suppression counter in a single report.
 NOISY_PROGRAM = """
--- lint: disable=WOL303 clause=F
+-- lint: disable=WOL305 clause=F
 constraint KOut: X = Mk_Out(N) <= X in Out, N = X.name;
 transformation P0: X in Out, X.name = N <= I in Item, N = I.name;
 transformation W1: X.v = V <= X in Out, I in Item,
@@ -36,7 +36,8 @@ transformation W1: X.v = V <= X in Out, I in Item,
 transformation W2: X.v = V <= X in Out, I in Item,
   X.name = I.name, V = I.b, U = I.a;
 transformation K: Y in Out, Y.v = V <= I in Item, V = I.a;
-transformation F: X in Out, X.name = N, X.v = N <= N = "fixed";
+transformation F: X in Out, X.name = N, X.v = N
+  <= (v = N) = (v = "fixed");
 """
 
 

@@ -2,8 +2,8 @@
 
 The differential fuzz harness pins whole-engine byte equality; these
 tests pin the module-level contracts — the static vectorizability
-rule, positional (not just set-wise) equivalence of the batch and
-scalar paths, fallback re-entry mid-plan, stats counters, and the
+rule, positional (not just set-wise) equivalence of the batch stages
+and the row-at-a-time ``Matcher.run_plan``, fallback re-entry mid-plan, stats counters, and the
 fused-head duplicate/conflict semantics.
 """
 
@@ -85,8 +85,7 @@ class TestPositionalEquivalence:
         country = euro.objects_of("CountryE")[0]
         plan = body_plan("N = E.name, C in CityE, E = C.country",
                          EURO_CLASSES, initial_bound=("E",))
-        scalar = list(matcher.run_plan_trusted(
-            tuple(plan.steps), {"E": country}))
+        scalar = list(matcher.run_plan(plan.steps, {"E": country}))
         columnar = list(stream_plan_columnar(
             matcher, plan.steps, {"E": country}))
         assert columnar == scalar
@@ -99,8 +98,7 @@ class TestPositionalEquivalence:
                          EURO_CLASSES, initial_bound=("E",))
         steps = tuple(plan.steps)
         scalar = [binding for oid in seeds
-                  for binding in matcher.run_plan_trusted(
-                      steps, {"E": oid})]
+                  for binding in matcher.run_plan(steps, {"E": oid})]
         stats = counters()
         columnar = list(seeded_batch_columnar(
             matcher, steps, "E", seeds, stats))
@@ -168,11 +166,11 @@ def dup_instance(values):
 class TestFusedHeadDuplicates:
     def test_agreeing_duplicates_collapse(self):
         """Several body rows minting the same object with equal values
-        must publish once, with the same effect counters either way."""
+        must publish once, with the naive path's effect counters."""
         morphase = Morphase([DUP_SRC], DUP_TGT, DUP_PROGRAM)
         source = dup_instance([7, 7, 7])
         columnar = morphase.transform(source)
-        scalar = morphase.transform(source, columnar=False)
+        scalar = morphase.transform(source, use_planner=False)
         assert len(columnar.target.objects_of("Out")) == 1
         assert (columnar.stats.objects_created
                 == scalar.stats.objects_created == 1)
@@ -183,7 +181,7 @@ class TestFusedHeadDuplicates:
         morphase = Morphase([DUP_SRC], DUP_TGT, DUP_PROGRAM)
         source = dup_instance([7, 8])
         with pytest.raises(ExecutionError) as scalar_error:
-            morphase.transform(source, columnar=False)
+            morphase.transform(source, use_planner=False)
         with pytest.raises(ExecutionError) as columnar_error:
             morphase.transform(source)
         assert str(columnar_error.value) == str(scalar_error.value)

@@ -1,28 +1,24 @@
-"""Cross-engine differential fuzzing (the parallel PR's safety net).
+"""Cross-engine differential fuzzing.
 
-Six semantically-equivalent execution paths now coexist: the naive
-dynamic matcher, the planned path (scalar and columnar), the CPL
-translation, the incremental delta engine and the parallel sharded
-engine.  This suite generates random schemas (attribute width varies),
-instances and deltas with Hypothesis and holds every pair of engines to
-*byte-equal* serialised targets and *equal* violation sets — the
-strongest oracle the JSON interchange format supports.
+Four semantically-equivalent execution paths coexist: the naive
+dynamic matcher (the oracle), the planned columnar path, the CPL
+translation and the incremental delta engine.  This suite generates
+random schemas (attribute width varies), instances and deltas with
+Hypothesis and holds every pair of engines to *byte-equal* serialised
+targets and *equal* violation sets — the strongest oracle the JSON
+interchange format supports.
 
 All generated source objects are Skolem-keyed, so serialisations are
 stable across runs and processes (anonymous oids would embed unstable
-serials).  The parallel engine runs its shard pipeline in-process here
-(``use_processes=False``): shard compilation, restricted enumeration
-and merging are identical to the process-pool path, which is pinned
-separately by ``tests/engine/test_parallel.py`` and a low-volume
-process test below.
+serials).
 """
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import execute_parallel, audit_parallel
 from repro.constraints.library import schema_constraints
+from repro.engine import IncrementalAudit
 from repro.io.json_io import instance_to_json
 from repro.evolution.delta import Delta
 from repro.model import InstanceBuilder, Record
@@ -175,58 +171,34 @@ def build_morphase(width: int) -> Morphase:
 class TestTransformEngines:
     @settings(max_examples=40, deadline=None)
     @given(universes())
-    def test_naive_planned_parallel_cpl_byte_equal(self, universe):
+    def test_naive_planned_cpl_byte_equal(self, universe):
         width, source, _ = universe
         morphase = build_morphase(width)
-        columnar = morphase.transform(source).target
-        scalar = morphase.transform(source, columnar=False).target
         naive = morphase.transform(source, use_planner=False).target
+        planned = morphase.transform(source).target
         cpl = morphase.transform(source, backend="cpl").target
-        baseline = serialized(columnar)
-        assert serialized(scalar) == baseline
-        assert serialized(naive) == baseline
+        baseline = serialized(naive)
+        assert serialized(planned) == baseline
         assert serialized(cpl) == baseline
-        for workers, columnar_flag in ((2, True), (5, False)):
-            parallel, stats = execute_parallel(
-                morphase.compile().program(),
-                morphase._merge_sources(source),
-                morphase.target_plain, workers, use_processes=False,
-                columnar=columnar_flag)
-            assert serialized(parallel) == baseline
-            assert stats.shards_run == workers
 
     @settings(max_examples=40, deadline=None)
     @given(universes())
-    def test_incremental_matches_recompute_and_parallel(self, universe):
+    def test_incremental_matches_recompute(self, universe):
         width, source, delta = universe
         morphase = build_morphase(width)
         state = morphase.begin_incremental(source)
         result = morphase.apply_delta(state, delta)
-        scalar_state = morphase.begin_incremental(source, columnar=False)
-        scalar_result = morphase.apply_delta(scalar_state, delta)
         updated_source = delta.apply_to(
             morphase._merge_sources(source))
-        recomputed = morphase.transform(updated_source).target
-        assert serialized(result.target) == serialized(recomputed)
-        assert serialized(scalar_result.target) == serialized(recomputed)
-        parallel, _ = execute_parallel(
-            morphase.compile().program(), updated_source,
-            morphase.target_plain, 3, use_processes=False)
-        assert serialized(parallel) == serialized(recomputed)
-
-    @settings(max_examples=5, deadline=None)
-    @given(universes())
-    def test_process_pool_byte_equal(self, universe):
-        """Low-volume pin of the real cross-process path."""
-        width, source, _ = universe
-        morphase = build_morphase(width)
-        sequential = morphase.transform(source).target
-        parallel = morphase.transform(source, parallel=2).target
-        assert serialized(parallel) == serialized(sequential)
+        naive = morphase.transform(updated_source,
+                                   use_planner=False).target
+        planned = morphase.transform(updated_source).target
+        assert serialized(result.target) == serialized(naive)
+        assert serialized(planned) == serialized(naive)
 
 
 # ----------------------------------------------------------------------
-# Columnar vs scalar on a mixed vectorizable/fallback program
+# Planned vs naive on a mixed vectorizable/fallback program
 # ----------------------------------------------------------------------
 
 MIXED_SRC_TEXT = """
@@ -242,7 +214,7 @@ schema MTgt {
 """
 
 #: The record-pattern equation ``(x = X, y = Y) = C.pt`` needs
-#: per-candidate unification, so its plan step is a scalar fallback
+#: per-candidate unification, so its plan step is a row-at-a-time fallback
 #: sandwiched between vectorizable stages — the batch must survive the
 #: round-trip through row-at-a-time enumeration.
 MIXED_PROGRAM_TEXT = """
@@ -265,20 +237,20 @@ class TestMixedVectorizability:
         source = builder.freeze()
         morphase = Morphase([schema], parse_schema(MIXED_TGT_TEXT),
                             MIXED_PROGRAM_TEXT)
-        columnar = morphase.transform(source)
-        scalar = morphase.transform(source, columnar=False)
-        assert serialized(columnar.target) == serialized(scalar.target)
+        planned = morphase.transform(source)
+        naive = morphase.transform(source, use_planner=False)
+        assert serialized(planned.target) == serialized(naive.target)
         # The clause genuinely mixes modes: batches formed AND the
         # pattern equation fell back to the row-at-a-time path.
-        assert columnar.stats.vectorized_steps > 0
-        assert columnar.stats.fallback_steps > 0
-        assert scalar.stats.vectorized_steps == 0
+        assert planned.stats.vectorized_steps > 0
+        assert planned.stats.fallback_steps > 0
+        assert naive.stats.vectorized_steps == 0
         # Effect counts agree — fallback re-entry neither duplicates
         # nor drops work.
-        assert (columnar.stats.objects_created
-                == scalar.stats.objects_created)
-        assert (columnar.stats.attributes_set
-                == scalar.stats.attributes_set)
+        assert (planned.stats.objects_created
+                == naive.stats.objects_created)
+        assert (planned.stats.attributes_set
+                == naive.stats.attributes_set)
 
 
 # ----------------------------------------------------------------------
@@ -309,30 +281,25 @@ class TestAuditEngines:
             target, constraints, limit_per_clause=None,
             use_planner=False))
         assert naive == planned
-        scalar = sorted(str(v) for v in program_violations(
-            target, constraints, limit_per_clause=None,
-            columnar=False))
-        assert scalar == planned
-        result = audit_parallel(constraints, target, 3,
-                                use_processes=False)
-        parallel = sorted(str(v)
-                          for v in result.violations(constraints))
-        assert parallel == planned
+        audit = IncrementalAudit(target, constraints)
+        incremental = sorted(str(v) for v in audit.violations())
+        assert incremental == planned
 
     @settings(max_examples=40, deadline=None)
     @given(universes())
     def test_link_class_set_union_across_engines(self, universe):
-        """LT.ws accumulates one element per B firing; shard merging
-        must union them exactly (a lost element would change bytes)."""
+        """LT.ws accumulates one element per B firing; the batched head
+        and the incremental effect counts must union them exactly (a
+        lost element would change bytes)."""
         width, source, _ = universe
         morphase = build_morphase(width)
+        naive = morphase.transform(source, use_planner=False).target
         planned = morphase.transform(source).target
-        parallel, _ = execute_parallel(
-            morphase.compile().program(),
-            morphase._merge_sources(source),
-            morphase.target_plain, 4, use_processes=False)
-        for oid in planned.objects_of("LT"):
-            expected = planned.value_of(oid).get("ws")
-            actual = parallel.value_of(oid).get("ws")
+        incremental = morphase.begin_incremental(source).target
+        assert sorted(map(str, planned.objects_of("LT"))) \
+            == sorted(map(str, naive.objects_of("LT")))
+        for oid in naive.objects_of("LT"):
+            expected = naive.value_of(oid).get("ws")
             assert isinstance(expected, WolSet)
-            assert actual == expected
+            assert planned.value_of(oid).get("ws") == expected
+            assert incremental.value_of(oid).get("ws") == expected

@@ -156,9 +156,9 @@ class _FakeStats:
 class TestEngineStatsBridge:
     def test_publishes_nonzero_fields_per_engine(self):
         registry = MetricsRegistry()
-        publish_engine_stats("columnar", _FakeStats(), registry)
-        publish_engine_stats("columnar", _FakeStats(), registry)
-        label = {"engine": "columnar"}
+        publish_engine_stats("planned", _FakeStats(), registry)
+        publish_engine_stats("planned", _FakeStats(), registry)
+        label = {"engine": "planned"}
         assert registry.value("repro_engine_runs_total", label) == 2
         assert registry.value("repro_engine_clauses_total", label) == 8
         assert registry.value("repro_engine_bindings_total",

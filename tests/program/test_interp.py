@@ -3,9 +3,9 @@
 The oracle for every ``query`` statement is the batch
 :class:`repro.query.Query` API run through the *dynamic* matcher; the
 oracle for set algebra is plain Python set algebra over the oracle
-rows.  The interpreter must agree byte-for-byte — across columnar vs
-scalar execution and sharded vs sequential plans (the canonical row
-order makes those equalities exact, not just set-equal).
+rows.  The planned (columnar) interpreter must agree byte-for-byte
+with the row-at-a-time oracle (the canonical row order makes that
+equality exact, not just set-equal).
 """
 
 import json
@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.io.json_io import dump_oid_encoder, value_to_json
-from repro.program import (ProgramError, compile_program,
+from repro.program import (compile_program,
                            parse_program_text, run_compiled, run_program)
 from repro.query.query import Query
 from repro.workloads import cities, genome
@@ -64,24 +64,18 @@ class TestQueryStatements:
         assert list(result.result.rows) == oracle_rows(euro, body)
 
     def test_columnar_and_scalar_agree(self, euro):
+        """Every planned (columnar) query statement equals the naive
+        row-at-a-time oracle, statement by statement."""
         program = parse_program_text(PROGRAM_TEXT)
-        vectorized = run_program(program, euro, columnar=True)
-        scalar = run_program(program, euro, columnar=False)
-        assert vectorized.result == scalar.result
-        for name in program.statement_names():
-            assert vectorized.sets[name] == scalar.sets[name]
-
-    def test_sharded_equals_sequential(self, euro):
-        program = parse_program_text(PROGRAM_TEXT)
-        sequential = run_program(program, euro)
-        for shards in (2, 3, 7):
-            sharded = run_program(program, euro, shards=shards)
-            assert sharded.result == sequential.result, shards
-
-    def test_invalid_shard_count_rejected(self, euro):
-        program = parse_program_text("a = query { X in CityE };")
-        with pytest.raises(ProgramError):
-            run_program(program, euro, shards=0)
+        vectorized = run_program(program, euro)
+        for name, body in (
+                ("caps", "N | X in CityE, X.is_capital = true, "
+                         "N = X.name"),
+                ("alln", "N | X in CityE, N = X.name")):
+            trace = next(t for t in vectorized.traces if t.name == name)
+            assert trace.planned
+            assert list(vectorized.sets[name].rows) \
+                == oracle_rows(euro, body)
 
     def test_rows_are_duplicate_free_and_canonically_ordered(self, euro):
         # Projecting away the distinguishing column forces duplicates
@@ -145,7 +139,7 @@ class TestCompiledPrograms:
         program = parse_program_text(PROGRAM_TEXT)
         outcome = run_program(program, euro)
         by_name = {trace.name: trace for trace in outcome.traces}
-        assert by_name["caps"].planned and by_name["caps"].columnar
+        assert by_name["caps"].planned
         assert by_name["rest"].op == "difference"
         document = outcome.to_json()
         assert document["result"] == "top"

@@ -91,15 +91,26 @@ class TestProgramDifferential:
             == json.dumps(via_ast, sort_keys=True)
 
     def test_scalar_execution_is_byte_identical(self, service):
-        _, client = service
-        vectorized = client.program(text=PROGRAM_TEXT)
-        scalar = client.program(text=PROGRAM_TEXT, columnar=False)
-        for trace in scalar["statements"]:
-            if trace["op"] == "query":
-                assert trace["columnar"] is False
-        scalar_rows = json.dumps(scalar["rows"], sort_keys=True)
-        assert scalar_rows == json.dumps(vectorized["rows"],
-                                         sort_keys=True)
+        """Each planned query statement returns exactly the rows of the
+        naive dynamic matcher (``Query.run``, one binding at a time)."""
+        session, client = service
+        target = session.target
+        encoder = dump_oid_encoder(target)
+        for body in ("N | C in CountryT, X = C.capital, N = X.name",
+                     "N | X in CityT, N = X.name",
+                     "X, Y | X in CityT, Y = X.country"):
+            served = client.program(text=f"q = query {{ {body} }};")
+            assert served["statements"][0]["planned"] is True
+            naive = {}
+            for row in Query.parse(
+                    body, classes=target.schema.class_names()).run(target):
+                encoded = {name: value_to_json(value, encoder)
+                           for name, value in row.items()}
+                naive.setdefault(json.dumps(encoded, sort_keys=True),
+                                 encoded)
+            assert json.dumps(served["rows"], sort_keys=True) \
+                == json.dumps([naive[key] for key in sorted(naive)],
+                              sort_keys=True)
 
     def test_program_survives_an_ingest(self, service):
         """The warm pool cache invalidates at batch boundaries."""
@@ -177,15 +188,18 @@ class TestProgramErrors:
         from repro.service import ServiceClientError
         _, client = service
         with pytest.raises(ServiceClientError) as info:
-            client._call("POST", "/program", body={"columnar": True})
+            client._call("POST", "/program", body={"explain": True})
         assert info.value.status == 400
         assert info.value.code == "bad_request"
 
     def test_unknown_request_field_is_400(self, service):
         from repro.service import ServiceClientError
         _, client = service
-        with pytest.raises(ServiceClientError) as info:
-            client._call("POST", "/program",
-                         body={"text": "a = query { X in CityT };",
-                               "shards": 4})
-        assert info.value.status == 400
+        for field, value in (("shards", 4), ("columnar", False)):
+            with pytest.raises(ServiceClientError) as info:
+                client._call("POST", "/program",
+                             body={"text": "a = query { X in CityT };",
+                                   field: value})
+            assert info.value.status == 400, field
+            assert info.value.code == "bad_request", field
+            assert field in info.value.message

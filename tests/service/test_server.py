@@ -77,9 +77,9 @@ class TestEndpoints:
 
     def test_extent_single_class(self, service):
         _, session, client = service
-        document = client.extent("CountryT")
-        assert document["class"] == "CountryT"
-        assert document["count"] == len(document["objects"])
+        document = client.query("X in CountryT")
+        assert document["columns"] == ["X"]
+        assert document["count"] == len(document["rows"])
         assert document["count"] \
             == len(session.target.objects_of("CountryT"))
 
@@ -101,7 +101,7 @@ class TestEndpoints:
         from repro.service.server import API_VERSION
         _, _, client = service
         for path in ("/health", "/stats", "/target",
-                     "/query?class=CountryT", "/check"):
+                     "/query?body=X%20in%20CountryT", "/check"):
             with urllib.request.urlopen(client.base_url + path) as resp:
                 document = json.loads(resp.read().decode("utf-8"))
             assert document["version"] == API_VERSION, path
@@ -132,13 +132,12 @@ class TestErrorMapping:
             client._call("GET", "/nothing")
         assert info.value.status == 404
 
-    def test_unknown_class_404(self, service):
+    def test_unknown_class_is_validation_error_422(self, service):
         _, _, client = service
         with pytest.raises(ServiceClientError) as info:
-            client.extent("Nonsense")
-        assert info.value.status == 404
-        assert info.value.code == "not_found"
-        assert "no class" in info.value.message
+            client.query("X in Nonsense")
+        assert info.value.status == 422
+        assert info.value.code == "validation_failed"
 
     def test_bad_body_400(self, service):
         _, _, client = service
@@ -168,11 +167,10 @@ class TestErrorMapping:
             client._call("GET", "/query")
         assert info.value.status == 400
 
-    def test_body_and_class_together_400(self, service):
+    def test_class_parameter_alone_400(self, service):
         _, _, client = service
         with pytest.raises(ServiceClientError) as info:
-            client._call("GET",
-                         "/query?class=CountryT&body=X%20in%20CountryT")
+            client._call("GET", "/query?class=CountryT")
         assert info.value.status == 400 \
             and info.value.code == "bad_request"
 
@@ -210,7 +208,7 @@ class TestConcurrency:
         def reader():
             try:
                 for _ in range(5):
-                    client.extent("CountryT")
+                    client.query("X in CountryT")
                     client.stats()
             except Exception as exc:  # pragma: no cover - fails test
                 errors.append(exc)
